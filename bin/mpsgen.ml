@@ -787,16 +787,7 @@ let route circuit budget point =
   Format.printf "Routed %d nets: total length %.0f, %d failed, overflow %d@."
     (Array.length routing.Mps_route.Router.nets) routing.Mps_route.Router.total_length
     routing.Mps_route.Router.failed_nets routing.Mps_route.Router.overflow;
-  let grid =
-    Mps_route.Route_grid.create ~die_w ~die_h
-      ~cell:Mps_route.Router.default_config.Mps_route.Router.cell
-      ~capacity:Mps_route.Router.default_config.Mps_route.Router.capacity rects
-  in
-  let wire_points =
-    Array.to_list routing.Mps_route.Router.nets
-    |> List.concat_map (fun (net : Mps_route.Router.routed_net) ->
-           List.map (Mps_route.Route_grid.center_of_cell grid) net.Mps_route.Router.cells)
-  in
+  let wire_points = Mps_route.Router.wire_points routing in
   print_string
     (Mps_render.Ascii.render_routed ~max_cols:72 circuit ~die_w ~die_h rects ~wire_points)
 

@@ -47,14 +47,6 @@ let () =
   Format.printf "Routed extraction: %a@." Mps_synthesis.Opamp.pp_perf routed_perf;
 
   (* Wire overlay. *)
-  let grid =
-    Route_grid.create ~die_w ~die_h ~cell:Router.default_config.Router.cell
-      ~capacity:Router.default_config.Router.capacity rects
-  in
-  let wire_points =
-    Array.to_list routing.Router.nets
-    |> List.concat_map (fun (net : Router.routed_net) ->
-           List.map (Route_grid.center_of_cell grid) net.Router.cells)
-  in
+  let wire_points = Router.wire_points routing in
   Format.printf "@.Routed floorplan ('+' = wire):@.%s"
     (Mps_render.Ascii.render_routed ~max_cols:64 circuit ~die_w ~die_h rects ~wire_points)

@@ -2,22 +2,22 @@
    variant), table-driven one byte at a time.  The state and the table
    live in unboxed native ints (the value always fits 32 bits) — this
    is the hot loop of container verification, and boxed [Int32]
-   arithmetic costs an allocation per byte. *)
+   arithmetic costs an allocation per byte.  Both tables are built
+   when the module initialises: a [lazy] forced by two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let crc = ref 0xFFFF_FFFF in
   for p = 0 to String.length s - 1 do
-    crc := Array.unsafe_get table ((!crc lxor Char.code (String.unsafe_get s p)) land 0xff) lxor (!crc lsr 8)
+    crc := Array.unsafe_get crc_table ((!crc lxor Char.code (String.unsafe_get s p)) land 0xff) lxor (!crc lsr 8)
   done;
   Int32.of_int (!crc lxor 0xFFFF_FFFF)
 
@@ -42,19 +42,18 @@ type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
    independent lookups — container verification is the cold-load hot
    loop, and the byte-at-a-time dependency chain would dominate it. *)
 let crc_tables8 =
-  lazy
-    (let t0 = Lazy.force crc_table in
-     let t = Array.init 8 (fun k -> if k = 0 then t0 else Array.make 256 0) in
-     for k = 1 to 7 do
-       for i = 0 to 255 do
-         let p = t.(k - 1).(i) in
-         t.(k).(i) <- (p lsr 8) lxor t0.(p land 0xff)
-       done
-     done;
-     t)
+  let t0 = crc_table in
+  let t = Array.init 8 (fun k -> if k = 0 then t0 else Array.make 256 0) in
+  for k = 1 to 7 do
+    for i = 0 to 255 do
+      let p = t.(k - 1).(i) in
+      t.(k).(i) <- (p lsr 8) lxor t0.(p land 0xff)
+    done
+  done;
+  t
 
 let crc32_words (w : words) ~pos ~len =
-  let t = Lazy.force crc_tables8 in
+  let t = crc_tables8 in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
   let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
   let g = Array.unsafe_get in

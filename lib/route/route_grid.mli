@@ -16,6 +16,28 @@ val create : die_w:int -> die_h:int -> cell:int -> capacity:int -> Rect.t array 
     @raise Invalid_argument when [cell <= 0], [capacity <= 0] or the die
     is not positive. *)
 
+val shape : die_w:int -> die_h:int -> cell:int -> int * int
+(** [(cols, rows)] of the grid {!create} builds for this die and pitch.
+    @raise Invalid_argument like {!create}. *)
+
+val create_in :
+  blocked:Bytes.t ->
+  used:int array ->
+  die_w:int ->
+  die_h:int ->
+  cell:int ->
+  capacity:int ->
+  Rect.t array ->
+  t
+(** {!create} over caller-owned storage, so a caller that builds many
+    grids can reuse it.  Cell [(c, r)] is index [r * cols + c] of both
+    buffers: [blocked] holds ['\001'] for a blocked cell and ['\000']
+    for a free one, [used] the cell's {!usage}.  The first
+    [cols * rows] entries are overwritten; the grid reads and writes
+    them until the storage is reused.
+    @raise Invalid_argument as {!create}, or when a buffer is shorter
+    than [cols * rows]. *)
+
 val cols : t -> int
 val rows : t -> int
 
@@ -46,7 +68,3 @@ val in_grid : t -> int * int -> bool
 
 val neighbors : t -> int * int -> (int * int) list
 (** The 4-connected unblocked neighbours. *)
-
-val neighbors_all : t -> int * int -> (int * int) list
-(** All 4-connected in-grid neighbours, blocked cells included (for
-    over-the-block routing at a cost penalty). *)

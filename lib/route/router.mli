@@ -2,11 +2,23 @@
     growth) — the "Routing" box of the paper's synthesis loop (Fig. 1b).
 
     Nets are routed one at a time in decreasing pin count; each net
-    grows a Steiner tree by repeated breadth-first searches from the
-    already-routed tree to the next pin, preferring uncongested cells.
-    Pins unreachable through free cells fall back to their half-perimeter
-    estimate so downstream extraction always has a length for every
-    net. *)
+    grows a Steiner tree by repeated Dijkstra searches from the
+    already-routed tree to the next pin.  Entering a cell costs 1, plus
+    [congestion_penalty] per wire already crossing it, plus
+    [over_block_penalty] inside a block, so routes prefer open,
+    uncongested channels.  A net whose pins cannot all be joined falls
+    back to its half-perimeter estimate so downstream extraction always
+    has a length for every net.
+
+    {b Determinism.}  The search is a binary heap keyed on
+    [(cost, col, row)], compared lexicographically; every key is
+    distinct, so among equal-cost cells the one with the lower column,
+    then the lower row, is expanded first, and a cell's parent is only
+    replaced by a strictly cheaper one.  Routes are therefore a
+    function of the circuit, the floorplan and the config alone — the
+    same on every run, domain and host.  A domain reuses its search
+    buffers from one call to the next; calls on different domains share
+    nothing. *)
 
 open Mps_geometry
 open Mps_netlist
@@ -15,7 +27,7 @@ type config = {
   cell : int;  (** Routing grid pitch in layout grid units. *)
   capacity : int;  (** Wire crossings per cell before congestion. *)
   congestion_penalty : int;
-      (** Extra BFS cost per crossing already in a cell (makes later
+      (** Extra search cost per crossing already in a cell (makes later
           nets detour around congestion). *)
   over_block_penalty : int;
       (** Extra cost for crossing a block interior (over-the-cell
@@ -47,6 +59,10 @@ val route :
   ?config:config -> Circuit.t -> die_w:int -> die_h:int -> Rect.t array -> t
 (** Route every net of the instantiated floorplan.
     @raise Invalid_argument on a block-count mismatch. *)
+
+val wire_points : ?config:config -> t -> (float * float) list
+(** Die coordinates of the center of every routed cell, net by net, for
+    drawing the wires; [config] must be the one the routing used. *)
 
 val routed_length : t -> int -> float
 (** Length of one net by id. *)

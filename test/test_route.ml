@@ -208,6 +208,212 @@ let test_synth_loop_routed_mode () =
   in
   check_bool "routed loop finishes" true (Float.is_finite r.Mps_synthesis.Synth_loop.best_cost)
 
+(* Route identity: a fixed set of floorplans, every [Router.t] digested
+   in full.  The digest was captured with the original Set-based
+   router, so any change to the search that alters a single cell, its
+   order in a net, or a length shows up here. *)
+
+let routing_digest (results : Router.t list) =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (r : Router.t) ->
+      Array.iter
+        (fun (n : Router.routed_net) ->
+          Printf.bprintf b "n%d %b %h:" n.Router.net_id n.Router.routed n.Router.length;
+          List.iter (fun (c, r) -> Printf.bprintf b "%d,%d;" c r) n.Router.cells;
+          Buffer.add_char b '\n')
+        r.Router.nets;
+      Printf.bprintf b "T %h %d %d\n" r.Router.total_length r.Router.overflow
+        r.Router.failed_nets)
+    results;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (circuit, die, rects) for seeds 0-49 of [Placement.random] on three
+   benchmark circuits, then every op-amp floorplan one seeded routed
+   sizing loop hands to the router. *)
+let identity_floorplans () =
+  let random =
+    List.concat_map
+      (fun c ->
+        let die_w, die_h = Circuit.default_die c in
+        List.init 50 (fun seed ->
+            let rng = Mps_rng.Rng.create ~seed in
+            let p = Mps_placement.Placement.random rng c ~die_w ~die_h in
+            (c, die_w, die_h, Mps_placement.Placement.rects p (Circuit.min_dims c))))
+      [ Benchmarks.circ01; Benchmarks.two_stage_opamp; Benchmarks.mixer ]
+  in
+  let process = Mps_modgen.Process.default in
+  let circuit = Mps_synthesis.Opamp.circuit process in
+  let die_w, die_h = Circuit.default_die circuit in
+  let structure, _ = Mps_core.Generator.generate ~config:Mps_core.Generator.fast_config circuit in
+  let mps = Mps_synthesis.Synth_loop.mps_placer structure in
+  let seen = ref [] in
+  let recording =
+    { mps with
+      Mps_synthesis.Synth_loop.place =
+        (fun dims ->
+          let rects = mps.Mps_synthesis.Synth_loop.place dims in
+          (* the placer reuses its buffer: keep a copy *)
+          seen :=
+            Array.map (fun r -> Rect.make ~x:r.Rect.x ~y:r.Rect.y ~w:r.Rect.w ~h:r.Rect.h) rects
+            :: !seen;
+          rects) }
+  in
+  let config =
+    { Mps_synthesis.Synth_loop.default_config with
+      seed = 7;
+      iterations = 40;
+      parasitics = Mps_synthesis.Synth_loop.Routed_extraction }
+  in
+  ignore (Mps_synthesis.Synth_loop.run ~config process circuit ~die_w ~die_h recording);
+  random @ List.rev_map (fun rects -> (circuit, die_w, die_h, rects)) !seen
+
+let test_route_identity () =
+  let floorplans = identity_floorplans () in
+  check_int "floorplan count" 191 (List.length floorplans);
+  let results =
+    List.map (fun (c, die_w, die_h, rects) -> Router.route c ~die_w ~die_h rects) floorplans
+  in
+  Alcotest.(check string) "route digest" "cc306f53292212c3ecba411066d3d748" (routing_digest results)
+
+(* Properties *)
+
+(* a die, a pitch and up to 8 rectangles, some crossing the die edge *)
+let grid_case =
+  let open QCheck.Gen in
+  let rect die_w die_h =
+    map
+      (fun (x, y, w, h) -> Rect.make ~x ~y ~w ~h)
+      (quad (int_range (-12) (die_w + 4)) (int_range (-12) (die_h + 4)) (int_range 1 30)
+         (int_range 1 30))
+  in
+  let gen =
+    int_range 1 60 >>= fun die_w ->
+    int_range 1 60 >>= fun die_h ->
+    int_range 1 7 >>= fun cell ->
+    map (fun rects -> (die_w, die_h, cell, Array.of_list rects))
+      (list_size (int_range 0 8) (rect die_w die_h))
+  in
+  let print (die_w, die_h, cell, rects) =
+    Printf.sprintf "die %dx%d cell %d rects %s" die_w die_h cell
+      (String.concat " "
+         (Array.to_list
+            (Array.map (fun r -> Printf.sprintf "(%d,%d,%d,%d)" r.Rect.x r.Rect.y r.Rect.w r.Rect.h)
+               rects)))
+  in
+  QCheck.make ~print gen
+
+let prop_grid_blocking_brute_force =
+  QCheck.Test.make ~name:"grid: blocked cells match the per-cell predicate" ~count:300 grid_case
+    (fun (die_w, die_h, cell, rects) ->
+      let g = Route_grid.create ~die_w ~die_h ~cell ~capacity:1 rects in
+      let ok = ref true in
+      for r = 0 to Route_grid.rows g - 1 do
+        for c = 0 to Route_grid.cols g - 1 do
+          let cx = (float_of_int c +. 0.5) *. float_of_int cell in
+          let cy = (float_of_int r +. 0.5) *. float_of_int cell in
+          let inside rect =
+            cx > float_of_int rect.Rect.x
+            && cx < float_of_int (Rect.right rect)
+            && cy > float_of_int rect.Rect.y
+            && cy < float_of_int (Rect.top rect)
+          in
+          if Route_grid.blocked g (c, r) <> Array.exists inside rects then ok := false
+        done
+      done;
+      !ok)
+
+(* A small synthetic circuit, a random floorplan of it and a random
+   router config, all drawn from one seed; routed, with each net's pin
+   cells. *)
+let routed_case seed =
+  let rng = Mps_rng.Rng.create ~seed in
+  let blocks = Mps_rng.Rng.int_in rng 2 6 in
+  let nets = Mps_rng.Rng.int_in rng 1 6 in
+  let terminals = Mps_rng.Rng.int_in rng (max blocks nets) (3 * blocks) in
+  let c = Benchmarks.synthetic ~name:"prop" ~blocks ~nets ~terminals ~seed in
+  let die_w, die_h = Circuit.default_die c in
+  let p = Mps_placement.Placement.random rng c ~die_w ~die_h in
+  let rects = Mps_placement.Placement.rects p (Circuit.min_dims c) in
+  let config =
+    { Router.cell = Mps_rng.Rng.int_in rng 2 6;
+      capacity = Mps_rng.Rng.int_in rng 1 3;
+      congestion_penalty = Mps_rng.Rng.int_in rng 0 4;
+      over_block_penalty = Mps_rng.Rng.int_in rng 0 10 }
+  in
+  let r = Router.route ~config c ~die_w ~die_h rects in
+  let grid =
+    Route_grid.create ~die_w ~die_h ~cell:config.Router.cell ~capacity:config.Router.capacity
+      rects
+  in
+  let pin_cells (net : Router.routed_net) =
+    List.map
+      (fun pin ->
+        let x, y = Mps_cost.Wirelength.pin_position pin ~rects ~die_w ~die_h in
+        Route_grid.cell_of_point grid ~x ~y)
+      c.Circuit.nets.(net.Router.net_id).Net.pins
+  in
+  (config, r, pin_cells)
+
+let connected cells =
+  match cells with
+  | [] -> true
+  | start :: _ ->
+    let todo = Hashtbl.create 64 in
+    List.iter (fun cell -> Hashtbl.replace todo cell ()) cells;
+    let rec visit ((c, r) as cell) =
+      if Hashtbl.mem todo cell then begin
+        Hashtbl.remove todo cell;
+        List.iter visit [ (c - 1, r); (c + 1, r); (c, r - 1); (c, r + 1) ]
+      end
+    in
+    visit start;
+    Hashtbl.length todo = 0
+
+let prop_routes_connect_pins =
+  QCheck.Test.make ~name:"router: routed nets are connected and reach every pin" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let _, r, pin_cells = routed_case seed in
+      Array.for_all
+        (fun (net : Router.routed_net) ->
+          (not net.Router.routed)
+          || connected net.Router.cells
+             && List.for_all (fun pin -> List.mem pin net.Router.cells) (pin_cells net))
+        r.Router.nets)
+
+let prop_length_counts_cells =
+  QCheck.Test.make ~name:"router: length is (cells - 1) x pitch" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let config, r, _ = routed_case seed in
+      Array.for_all
+        (fun (net : Router.routed_net) ->
+          (not net.Router.routed)
+          || net.Router.length
+             = float_of_int ((List.length net.Router.cells - 1) * config.Router.cell))
+        r.Router.nets)
+
+let prop_overflow_recount =
+  QCheck.Test.make ~name:"router: overflow recounts from routed cells" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let config, r, _ = routed_case seed in
+      let uses = Hashtbl.create 64 in
+      (* a net whose pins share one cell has no wire to count *)
+      Array.iter
+        (fun (net : Router.routed_net) ->
+          if net.Router.routed && List.length net.Router.cells > 1 then
+            List.iter
+              (fun cell ->
+                Hashtbl.replace uses cell (1 + Option.value ~default:0 (Hashtbl.find_opt uses cell)))
+              net.Router.cells)
+        r.Router.nets;
+      let over =
+        Hashtbl.fold (fun _ n acc -> acc + max 0 (n - config.Router.capacity)) uses 0
+      in
+      over = r.Router.overflow)
+
 let suite =
   [
     ("grid: shape", `Quick, test_grid_shape);
@@ -221,8 +427,16 @@ let suite =
     ("router: benchmark circuits route", `Quick, test_route_benchmark_circuits);
     ("router: deterministic", `Quick, test_route_deterministic);
     ("router: spread floorplans route longer", `Quick, test_route_longer_when_spread);
+    ("router: routes identical on fixed floorplans", `Quick, test_route_identity);
     ("extraction: capacitance grows with length", `Quick, test_extraction_scales_with_length);
     ("extraction: per-pin term and errors", `Quick, test_extraction_pin_term);
     ("opamp: routed performance plausible", `Quick, test_routed_performance_plausible);
     ("synthesis loop: routed parasitics mode", `Quick, test_synth_loop_routed_mode);
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_grid_blocking_brute_force;
+        prop_routes_connect_pins;
+        prop_length_counts_cells;
+        prop_overflow_recount;
+      ]
