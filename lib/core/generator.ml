@@ -215,7 +215,7 @@ let finalize_backup config rng circuit ~die_w ~die_h ~arena ~evals
     for _ = 1 to samples do
       Dimbox.random_dims_into rng bounds ~w:dw ~h:dh;
       let dims = Dims.unsafe_of_arrays ~w:dw ~h:dh in
-      Repack.instantiate_into ~scratch ~out:buf ~die:(die_w, die_h)
+      Repack.instantiate_into ~scratch ~out:buf ~die_w ~die_h
         ~coords:placement.Placement.coords dims;
       (* allocation-free full evaluation, bit-identical to [Cost.total]
          (see [beats_backup_locally]) *)

@@ -351,10 +351,6 @@ module Engine = struct
     words_per_set : int;
     tail_mask : int;  (** mask for the last word of a full set *)
     n_rows : int;
-    lows_len : int;
-        (** usable interval slots: caps binary-search indices so even
-            garbage offsets read under a corrupted mapping stay inside
-            [lows]/[highs]/[set_words] *)
     (* The narrowing plan, selectivity-ordered.  Row [r] tests axis
        [row_axis.{r}] (code [2i] = width of block [i], [2i+1] = height)
        against intervals [row_off.{r} .. row_off.{r+1} - 1] of the flat
@@ -368,6 +364,16 @@ module Engine = struct
     lows : ints;
     highs : ints;
     set_words : ints;
+    (* Per-row value tables, built at load from the plan above and never
+       stored: for row [r] and designer value [v] on its axis,
+       [lut.(lut_off.(r) + v - lut_lo.(r))] is the interval [k] with
+       [lows.{k} <= v <= highs.{k}], or [-1] when no interval covers
+       [v].  Every entry is below the usable interval count, so even
+       when the mapping under [set_words] is damaged the kernel's word
+       reads stay in bounds. *)
+    lut : int array;
+    lut_off : int array;  (** [n_rows + 1] offsets into [lut] *)
+    lut_lo : int array;  (** first designer value of each row's table *)
     skipped_rows : int;
     (* Designer dimension space flattened per axis code (2i = width of
        block i, 2i+1 = height): [Circuit.dims_valid] is exactly
@@ -390,13 +396,48 @@ module Engine = struct
     Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i v) a;
     b
 
-  let usable_intervals ~lows ~set_words ~words_per_set =
-    min (Bigarray.Array1.dim lows) (Bigarray.Array1.dim set_words / words_per_set)
+  (* The value tables for a plan whose axis codes and designer bounds
+     are already valid.  Each entry comes from a binary search over the
+     row's intervals, clamped to the slots that both [lows] and
+     [set_words] hold.  O(sum of axis ranges × log intervals): at most
+     1465 entries on the Table 1 circuits. *)
+  let build_lut ~(row_axis : ints) ~(row_off : ints) ~(lows : ints) ~(highs : ints)
+      ~(set_words : ints) ~words_per_set ~(dom_lo : ints) ~(dom_hi : ints) =
+    let n_rows = Bigarray.Array1.dim row_axis in
+    let usable =
+      min (Bigarray.Array1.dim lows) (Bigarray.Array1.dim set_words / words_per_set)
+    in
+    let lut_lo = Array.make n_rows 0 and lut_off = Array.make (n_rows + 1) 0 in
+    for r = 0 to n_rows - 1 do
+      let code = row_axis.{r} in
+      lut_lo.(r) <- dom_lo.{code};
+      lut_off.(r + 1) <- lut_off.(r) + max 0 (dom_hi.{code} - dom_lo.{code} + 1)
+    done;
+    let lut = Array.make lut_off.(n_rows) (-1) in
+    for r = 0 to n_rows - 1 do
+      let first = max 0 row_off.{r} and last = min row_off.{r + 1} usable - 1 in
+      for e = lut_off.(r) to lut_off.(r + 1) - 1 do
+        let v = lut_lo.(r) + e - lut_off.(r) in
+        (* Largest k in [first, last] with lows.{k} <= v. *)
+        let l = ref first and h = ref last and k = ref (-1) in
+        while !l <= !h do
+          let mid = (!l + !h) / 2 in
+          if lows.{mid} <= v then begin
+            k := mid;
+            l := mid + 1
+          end
+          else h := mid - 1
+        done;
+        if !k >= 0 && highs.{!k} >= v then lut.(e) <- !k
+      done
+    done;
+    (lut, lut_off, lut_lo)
 
   type session = {
     mutable owner : t option;  (** engine the scratch is currently sized for *)
     mutable acc : int array;  (** scratch intersection words *)
     mutable rects : Rect.t array;  (** scratch floorplan buffer *)
+    repack : Mps_placement.Repack.scratch;  (** re-pack scratch for [rects] *)
     mutable last : int;  (** hot-box cache: last stored hit, [-1] if none *)
     mutable queries : int;
     mutable cache_hits : int;
@@ -512,9 +553,16 @@ module Engine = struct
         box_in_domain.(id) <-
           (if Dimbox.contains_box ~outer:src.space ~inner:box then 1 else 0))
       src.stored;
-    let lows = ints_of_array lows
+    let row_axis = ints_of_array row_axis
+    and row_off = ints_of_array row_off
+    and lows = ints_of_array lows
     and highs = ints_of_array highs
-    and set_words = ints_of_array set_words in
+    and set_words = ints_of_array set_words
+    and dom_lo = ints_of_array dom_lo
+    and dom_hi = ints_of_array dom_hi in
+    let lut, lut_off, lut_lo =
+      build_lut ~row_axis ~row_off ~lows ~highs ~set_words ~words_per_set ~dom_lo ~dom_hi
+    in
     {
       src =
         {
@@ -531,15 +579,17 @@ module Engine = struct
       words_per_set;
       tail_mask;
       n_rows;
-      lows_len = usable_intervals ~lows ~set_words ~words_per_set;
-      row_axis = ints_of_array row_axis;
-      row_off = ints_of_array row_off;
+      row_axis;
+      row_off;
       lows;
       highs;
       set_words;
+      lut;
+      lut_off;
+      lut_lo;
       skipped_rows = List.length skipped;
-      dom_lo = ints_of_array dom_lo;
-      dom_hi = ints_of_array dom_hi;
+      dom_lo;
+      dom_hi;
       box_lo = ints_of_array box_lo;
       box_hi = ints_of_array box_hi;
       box_in_domain = ints_of_array box_in_domain;
@@ -570,6 +620,7 @@ module Engine = struct
       owner = None;
       acc = [||];
       rects = [||];
+      repack = Mps_placement.Repack.scratch ();
       last = -1;
       queries = 0;
       cache_hits = 0;
@@ -592,42 +643,29 @@ module Engine = struct
       session.owner <- Some t;
       session.last <- -1
 
-  (* [dims] inside the validity box of stored placement [id]?  Pure
-     int-array compares over the flattened box bounds. *)
-  let box_contains t id dims =
-    let n = t.n_blocks in
-    let base = id * 2 * n in
-    let box_lo = t.box_lo and box_hi = t.box_hi in
-    let rec go i =
-      i >= n
-      ||
-      let w = Dims.width dims i in
-      let j = base + (2 * i) in
-      w >= box_lo.{j}
-      && w <= box_hi.{j}
+  (* [dims] inside the flattened bounds [lo]/[hi] from word [base] on
+     (code [2i] = width of block [i], [2i+1] = height)?  Pure int-array
+     compares in a loop: no closure, so the kernel allocates nothing. *)
+  let within ~(lo : ints) ~(hi : ints) ~base n dims =
+    let i = ref 0 in
+    while
+      !i < n
       &&
-      let h = Dims.height dims i in
-      h >= box_lo.{j + 1} && h <= box_hi.{j + 1} && go (i + 1)
-    in
-    go 0
+      let w = Dims.width dims !i and h = Dims.height dims !i in
+      let j = base + (2 * !i) in
+      w >= lo.{j} && w <= hi.{j} && h >= lo.{j + 1} && h <= hi.{j + 1}
+    do
+      incr i
+    done;
+    !i >= n
+
+  (* [dims] inside the validity box of stored placement [id]? *)
+  let box_contains t id dims =
+    within ~lo:t.box_lo ~hi:t.box_hi ~base:(id * 2 * t.n_blocks) t.n_blocks dims
 
   (* Equivalent to [Circuit.dims_valid] (designer bounds containment),
      over the flattened bounds. *)
-  let in_domain t dims =
-    let n = t.n_blocks in
-    let dom_lo = t.dom_lo and dom_hi = t.dom_hi in
-    let rec go i =
-      i >= n
-      ||
-      let w = Dims.width dims i in
-      let j = 2 * i in
-      w >= dom_lo.{j}
-      && w <= dom_hi.{j}
-      &&
-      let h = Dims.height dims i in
-      h >= dom_lo.{j + 1} && h <= dom_hi.{j + 1} && go (i + 1)
-    in
-    go 0
+  let in_domain t dims = within ~lo:t.dom_lo ~hi:t.dom_hi ~base:0 t.n_blocks dims
 
   (* The zero-allocation primitive: the stored-placement index on a
      hit, [-1] for fallback, [-2] for out-of-domain. *)
@@ -665,49 +703,44 @@ module Engine = struct
         Array.fill acc 0 wps (-1);
         acc.(wps - 1) <- t.tail_mask;
         let n_rows = t.n_rows in
-        let lows = t.lows and highs = t.highs and set_words = t.set_words in
-        let lows_len = t.lows_len in
-        let rec narrow r =
-          r >= n_rows
-          ||
+        let set_words = t.set_words in
+        let lut = t.lut and lut_off = t.lut_off and lut_lo = t.lut_lo in
+        (* Narrow row by row while the intersection stays non-empty. *)
+        let r = ref 0 and alive = ref true in
+        while !alive && !r < n_rows do
           (* The plan may be a view into a file mapping that gets
-             corrupted underneath us: a garbage axis code or interval
-             range must turn into a miss (fallback), never an
-             out-of-bounds access — hence the code guard and the
-             clamped binary-search range. *)
-          let code = t.row_axis.{r} in
-          code >= 0
-          && code lsr 1 < t.n_blocks
-          &&
-          let v =
-            if code land 1 = 0 then Dims.width dims (code lsr 1)
-            else Dims.height dims (code lsr 1)
-          in
-          (* Largest k in the row's interval range with lows.{k} <= v. *)
-          let l = ref (max 0 t.row_off.{r})
-          and h = ref (min t.row_off.{r + 1} lows_len - 1) in
-          let k = ref (-1) in
-          while !l <= !h do
-            let mid = (!l + !h) / 2 in
-            if lows.{mid} <= v then begin
-              k := mid;
-              l := mid + 1
-            end
-            else h := mid - 1
-          done;
-          !k >= 0
-          && highs.{!k} >= v
-          &&
-          let base = !k * wps in
-          let any = ref 0 in
-          for w = 0 to wps - 1 do
-            let x = acc.(w) land set_words.{base + w} in
-            acc.(w) <- x;
-            any := !any lor x
-          done;
-          !any <> 0 && narrow (r + 1)
-        in
-        if narrow 0 then begin
+             corrupted underneath us: a garbage axis code must turn
+             into a miss (fallback), never an out-of-bounds access —
+             hence the code guard and the range check on the table
+             (a heap snapshot whose entries are all in-range ids). *)
+          let code = t.row_axis.{!r} in
+          alive :=
+            (code >= 0
+            && code lsr 1 < t.n_blocks
+            &&
+            let v =
+              if code land 1 = 0 then Dims.width dims (code lsr 1)
+              else Dims.height dims (code lsr 1)
+            in
+            let off = lut_off.(!r) in
+            let e = off + v - lut_lo.(!r) in
+            e >= off
+            && e < lut_off.(!r + 1)
+            &&
+            let k = lut.(e) in
+            k >= 0
+            &&
+            let base = k * wps in
+            let any = ref 0 in
+            for w = 0 to wps - 1 do
+              let x = acc.(w) land set_words.{base + w} in
+              acc.(w) <- x;
+              any := !any lor x
+            done;
+            !any <> 0);
+          incr r
+        done;
+        if !alive then begin
           (* Non-empty by construction; eq. 5 makes the member unique. *)
           let id = ref (-1) and w = ref 0 in
           while !id < 0 do
@@ -750,25 +783,22 @@ module Engine = struct
     | id -> (Stored_placement id, t.src.s_stored.(id))
 
   (* Fill the session's rect buffer in place and return it: valid until
-     the session's next [instantiate_into].  Fallback and template-like
-     answers re-pack (which allocates) — by construction those are the
-     rare, uncovered-space cases. *)
+     the session's next [instantiate_into].  Fallback, out-of-domain and
+     outside-the-expansion answers re-pack into the same buffer with the
+     session's re-pack scratch, so no answer allocates. *)
   let instantiate_into t session dims =
     let id = query_id t session dims in
-    if id >= 0 then begin
-      let s = t.src.s_stored.(id) in
-      if Dimbox.contains s.Stored.expansion dims then begin
-        let coords = s.Stored.placement.Mps_placement.Placement.coords in
-        let rects = session.rects in
-        for i = 0 to t.n_blocks - 1 do
-          let x, y = coords.(i) in
-          Rect.set rects.(i) ~x ~y ~w:(Dims.width dims i) ~h:(Dims.height dims i)
-        done;
-        rects
-      end
-      else Stored.instantiate_repacked s dims
+    let rects = session.rects in
+    let s = if id >= 0 then t.src.s_stored.(id) else t.src.s_backup in
+    if id >= 0 && Dimbox.contains s.Stored.expansion dims then begin
+      let coords = s.Stored.placement.Mps_placement.Placement.coords in
+      for i = 0 to t.n_blocks - 1 do
+        let x, y = coords.(i) in
+        Rect.set rects.(i) ~x ~y ~w:(Dims.width dims i) ~h:(Dims.height dims i)
+      done
     end
-    else Stored.instantiate_repacked t.src.s_backup dims
+    else Stored.instantiate_repacked_into s ~scratch:session.repack ~out:rects dims;
+    rects
 
   (* Freshly allocated floorplan (safe to retain), same answers. *)
   let instantiate t session dims =
@@ -932,6 +962,10 @@ module Engine = struct
     if dim f.f_box_lo <> capacity * 2 * n_blocks || dim f.f_box_hi <> capacity * 2 * n_blocks
     then fail "box table length mismatch";
     if dim f.f_box_in_domain <> capacity then fail "box_in_domain length mismatch";
+    let lut, lut_off, lut_lo =
+      build_lut ~row_axis:f.f_row_axis ~row_off:f.f_row_off ~lows:f.f_lows ~highs:f.f_highs
+        ~set_words:f.f_set_words ~words_per_set:wps ~dom_lo:f.f_dom_lo ~dom_hi:f.f_dom_hi
+    in
     let die_w, die_h = die in
     let tail_mask =
       let used = capacity mod bits_per_word in
@@ -953,12 +987,14 @@ module Engine = struct
       words_per_set = wps;
       tail_mask;
       n_rows;
-      lows_len = usable_intervals ~lows:f.f_lows ~set_words:f.f_set_words ~words_per_set:wps;
       row_axis = f.f_row_axis;
       row_off = f.f_row_off;
       lows = f.f_lows;
       highs = f.f_highs;
       set_words = f.f_set_words;
+      lut;
+      lut_off;
+      lut_lo;
       skipped_rows = f.f_skipped_rows;
       dom_lo = f.f_dom_lo;
       dom_hi = f.f_dom_hi;

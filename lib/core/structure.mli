@@ -134,7 +134,9 @@ val die : t -> int * int
     spanning the whole designer axis with every placement on it).  All
     per-query scratch lives in a reusable {!Engine.session}, so
     steady-state queries and {!Engine.instantiate_into} allocate
-    nothing; a hot-box cache answers consecutive queries landing in the
+    nothing.  Each row's interval lookup is one load from a per-row
+    value table, built when the engine is created or mapped and never
+    stored.  A hot-box cache answers consecutive queries landing in the
     same validity box — the dominant sizing-loop case — with a single
     [Dimbox.contains].
 
@@ -203,9 +205,10 @@ module Engine : sig
   val instantiate_into : t -> session -> Dims.t -> Rect.t array
   (** Floorplan at the requested dimensions, written into the session's
       reusable rect buffer — the returned array (and the rects inside
-      it) are valid until the session's next call.  Allocation-free on
-      stored hits inside the expansion box; fallback answers re-pack
-      (and allocate) exactly like {!Structure.instantiate}. *)
+      it) are valid until the session's next call.  Allocates nothing
+      on any answer: fallback, out-of-domain and outside-the-expansion
+      answers re-pack into the same buffer with the session's re-pack
+      scratch, giving the rects {!Structure.instantiate} returns. *)
 
   val instantiate : t -> session -> Dims.t -> Rect.t array
   (** Like {!instantiate_into} but returns a freshly allocated

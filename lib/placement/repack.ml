@@ -34,12 +34,12 @@ let scratch () = { sc_order = [||]; sc_placed = Bytes.empty }
 
 (* The allocation-free kernel: instantiation runs in admission-test and
    template-averaging loops that re-pack hundreds of dimension samples
-   per candidate, so the sort permutation, the placed flags, and the
-   output rectangles all live in caller-owned buffers refilled in
-   place.  Identical results to the allocating wrapper below: same
-   visit order (same comparator over the same identity permutation),
-   same settle predicate, same die translation. *)
-let instantiate_into ~scratch ~out ?die ~coords dims =
+   per candidate, and in the query engine's fallback answers, so the
+   visit order, the placed flags, and the output rectangles all live in
+   caller-owned buffers refilled in place.  Blocks are visited by
+   (x, y), ties by block index: an insertion sort over the identity
+   permutation (stable, and closure-free unlike [Array.sort]). *)
+let pack ~scratch ~out ~coords dims =
   let n = Array.length coords in
   if Dims.n_blocks dims <> n then
     invalid_arg "Repack.instantiate_into: block count mismatch";
@@ -49,14 +49,20 @@ let instantiate_into ~scratch ~out ?die ~coords dims =
     scratch.sc_placed <- Bytes.make n '\000'
   end;
   let order = scratch.sc_order in
-  for i = 0 to n - 1 do
-    order.(i) <- i
+  for oi = 0 to n - 1 do
+    let xi, yi = coords.(oi) in
+    let j = ref (oi - 1) in
+    while
+      !j >= 0
+      &&
+      let xj, yj = coords.(order.(!j)) in
+      xj > xi || (xj = xi && yj > yi)
+    do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- oi
   done;
-  Array.sort
-    (fun i j ->
-      let xi, yi = coords.(i) and xj, yj = coords.(j) in
-      match Int.compare xi xj with 0 -> Int.compare yi yj | c -> c)
-    order;
   let placed = scratch.sc_placed in
   Bytes.fill placed 0 n '\000';
   for oi = 0 to n - 1 do
@@ -64,30 +70,29 @@ let instantiate_into ~scratch ~out ?die ~coords dims =
     let x, y = coords.(i) in
     let w = Dims.width dims i and h = Dims.height dims i in
     (* slide upward to the first y where (x, y, w, h) clashes with no
-       already-placed block — integer compares against the filled
-       prefix of [out], no candidate rect materialized per tried y *)
+       already-placed block.  On a clash with placed rect [r], every y
+       below [r]'s top clashes with it too, so jump straight there and
+       rescan: the first free y is the one a unit-step slide finds. *)
     let yy = ref y in
-    let clash = ref true in
-    while !clash do
-      clash := false;
-      let j = ref 0 in
-      while (not !clash) && !j < n do
-        if Bytes.unsafe_get placed !j <> '\000' then begin
-          let r = Array.unsafe_get out !j in
-          if x < r.Rect.x + r.Rect.w && r.Rect.x < x + w && !yy < r.Rect.y + r.Rect.h
-             && r.Rect.y < !yy + h
-          then clash := true
-        end;
-        incr j
-      done;
-      if !clash then incr yy
+    let j = ref 0 in
+    while !j < n do
+      let r = Array.unsafe_get out !j in
+      if Bytes.unsafe_get placed !j <> '\000'
+         && x < r.Rect.x + r.Rect.w && r.Rect.x < x + w && !yy < r.Rect.y + r.Rect.h
+         && r.Rect.y < !yy + h
+      then begin
+        yy := r.Rect.y + r.Rect.h;
+        j := 0
+      end
+      else incr j
     done;
     Rect.set out.(i) ~x ~y:!yy ~w ~h;
     Bytes.set placed i '\001'
-  done;
-  match die with
-  | None -> ()
-  | Some (die_w, die_h) -> fit_die_in_place ~die_w ~die_h out
+  done
+
+let instantiate_into ~scratch ~out ~die_w ~die_h ~coords dims =
+  pack ~scratch ~out ~coords dims;
+  fit_die_in_place ~die_w ~die_h out
 
 let instantiate ?die ~coords dims =
   let n = Array.length coords in
@@ -96,5 +101,6 @@ let instantiate ?die ~coords dims =
     Array.init n (fun i ->
         Rect.make ~x:0 ~y:0 ~w:(Dims.width dims i) ~h:(Dims.height dims i))
   in
-  instantiate_into ~scratch:(scratch ()) ~out ?die ~coords dims;
+  pack ~scratch:(scratch ()) ~out ~coords dims;
+  (match die with None -> () | Some (die_w, die_h) -> fit_die_in_place ~die_w ~die_h out);
   out

@@ -3,6 +3,7 @@
     Given reference block corners and new dimensions, blocks are visited
     in the reference left-to-right, bottom-to-top order and each one
     slides upward until it overlaps none of the already-packed blocks.
+    Blocks with the same corner go in block-index order.
     This is how a fixed layout template absorbs size changes: the
     arrangement survives, optimality does not.  Used by the template
     baseline placer and by the multi-placement structure's fallback
@@ -29,14 +30,16 @@ val scratch : unit -> scratch
 val instantiate_into :
   scratch:scratch ->
   out:Rect.t array ->
-  ?die:int * int ->
+  die_w:int ->
+  die_h:int ->
   coords:(int * int) array ->
   Dims.t ->
   unit
-(** {!instantiate} into a caller buffer of exactly one rectangle per
-    block, refilled in place: the allocation-free variant for the
-    admission-test and template-averaging loops, which re-pack
-    hundreds of sampled dimension vectors per candidate.  Results are
-    identical to {!instantiate}.
+(** {!instantiate} [~die:(die_w, die_h)] into a caller buffer of exactly
+    one rectangle per block, refilled in place: the allocation-free
+    variant for the admission-test and template-averaging loops, which
+    re-pack hundreds of sampled dimension vectors per candidate, and for
+    the query engine's fallback answers.  It allocates nothing once the
+    scratch is sized.  Results are identical to {!instantiate}.
     @raise Invalid_argument on a block-count or buffer-length
     mismatch. *)

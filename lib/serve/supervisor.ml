@@ -296,6 +296,8 @@ type conn_state = {
   outbuf : Bytes.t ref;
   mutable w_scratch : int array;
   mutable h_scratch : int array;
+  repack : Mps_placement.Repack.scratch;  (* backup-only answers re-pack here *)
+  mutable backup_rects : Rect.t array;
   mutable ring : Shm.t option;  (* set by an accepted [Shm_hello] *)
 }
 
@@ -305,6 +307,15 @@ let scratch_for state n =
     state.h_scratch <- Array.make n 1
   end;
   (state.w_scratch, state.h_scratch)
+
+(* The backup's floorplan at [dims], re-packed into the connection's
+   rect buffer: valid until the next call, allocation-free. *)
+let backup_into state backup dims =
+  let n = Dims.n_blocks dims in
+  if Array.length state.backup_rects <> n then
+    state.backup_rects <- Array.init n (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1);
+  Stored.instantiate_repacked_into backup ~scratch:state.repack ~out:state.backup_rects dims;
+  state.backup_rects
 
 let store_error_reply t via outbuf ~req_id err =
   let status =
@@ -404,7 +415,7 @@ let handle_batch t gen via state ~req_id ~deadline ~len ~instantiate =
             let dims = dims_at buf ~base ~n i scratch in
             if instantiate then begin
               let rects =
-                if entry.Store.backup_only then Stored.instantiate_repacked backup dims
+                if entry.Store.backup_only then backup_into state backup dims
                 else
                   Structure.Engine.instantiate_into entry.Store.engine state.session
                     dims
@@ -791,6 +802,8 @@ let serve_conn t w gen conn =
       outbuf = ref (Bytes.create 4096);
       w_scratch = [||];
       h_scratch = [||];
+      repack = Mps_placement.Repack.scratch ();
+      backup_rects = [||];
       ring = None;
     }
   in

@@ -53,6 +53,49 @@ let test_repack_mismatch () =
     (fun () ->
       ignore (Repack.instantiate ~coords:[| (0, 0) |] (Dims.of_pairs [| (1, 1); (2, 2) |])))
 
+(* The unit-step slide [Repack] used before it jumped past each clash:
+   blocks in (x, y) order, ties by index, each sliding up one unit at a
+   time until it clashes with no placed block. *)
+let unit_step_repack ~coords dims =
+  let n = Array.length coords in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> compare coords.(i) coords.(j)) order;
+  let out = Array.make n None in
+  Array.iter
+    (fun i ->
+      let x, _ = coords.(i) in
+      let w = Dims.width dims i and h = Dims.height dims i in
+      let at y = Rect.make ~x ~y ~w ~h in
+      let clashes y =
+        Array.exists
+          (function Some r -> Rect.overlaps r (at y) | None -> false)
+          out
+      in
+      let y = ref (snd coords.(i)) in
+      while clashes !y do
+        incr y
+      done;
+      out.(i) <- Some (at !y))
+    order;
+  Array.map Option.get out
+
+let prop_repack_jump_equals_unit_step =
+  QCheck.Test.make ~name:"repack: jumping slide equals the unit-step slide" ~count:500
+    QCheck.(
+      list_of_size Gen.(1 -- 9)
+        (pair (pair (int_range 0 30) (int_range 0 30)) (pair (int_range 1 12) (int_range 1 12))))
+    (fun blocks ->
+      let blocks = Array.of_list blocks in
+      let coords = Array.map fst blocks in
+      let dims = Dims.of_pairs (Array.map snd blocks) in
+      let expected = unit_step_repack ~coords dims in
+      let got = Repack.instantiate ~coords dims in
+      let out = Array.map (fun _ -> Rect.make ~x:0 ~y:0 ~w:1 ~h:1) got in
+      Repack.instantiate_into ~scratch:(Repack.scratch ()) ~out ~die_w:40 ~die_h:40 ~coords
+        dims;
+      Array.for_all2 Rect.equal expected got
+      && Array.for_all2 Rect.equal (Repack.instantiate ~die:(40, 40) ~coords dims) out)
+
 (* Coord_opt / Sa_placer *)
 
 let test_coord_opt_improves () =
@@ -191,3 +234,4 @@ let suite =
     ("genetic: deterministic per seed", `Quick, test_genetic_deterministic);
     ("sa beats template on average", `Quick, test_sa_beats_template_on_average);
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_repack_jump_equals_unit_step ]

@@ -165,6 +165,41 @@ let test_instantiate_into_matches c structure =
       expected
   done
 
+(* instantiate_into allocates nothing on any answer once the session is
+   warm: fallback and out-of-domain answers re-pack the backup into the
+   session's buffer, stored hits write the stored corners. *)
+let test_instantiate_into_no_alloc () =
+  let c = Benchmarks.benchmark24 in
+  let structure = List.assq c (Lazy.force structures) in
+  let engine = Structure.Engine.create structure in
+  let session = Structure.Engine.new_session () in
+  let rng = Rng.create ~seed:23 in
+  let stored = Structure.placements structure in
+  let pick want =
+    let rec go k =
+      if k = 0 then Alcotest.failf "no probe answered %d" want
+      else
+        let d = probe rng structure stored in
+        let id = Structure.Engine.query_id engine session d in
+        if (want >= 0 && id >= 0) || id = want then d else go (k - 1)
+    in
+    go 100_000
+  in
+  List.iter
+    (fun (label, want) ->
+      let dims = pick want in
+      ignore (Structure.Engine.instantiate_into engine session dims);
+      let calls = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (Structure.Engine.instantiate_into engine session dims))
+      done;
+      let delta = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words over %d calls" label delta calls)
+        true (delta < 256.0))
+    [ ("fallback", -1); ("out-of-domain", -2); ("stored hit", 0) ]
+
 (* Batch serving: identical answers sequentially, with a pool, and at
    different job counts. *)
 let test_batch_matches_sequential c structure =
@@ -237,4 +272,6 @@ let suite =
       (for_all test_plan_accounting);
     Alcotest.test_case "describe reports plan shape and cache counters" `Quick
       test_describe_reports_cache;
+    Alcotest.test_case "instantiate_into allocates nothing on any answer" `Quick
+      test_instantiate_into_no_alloc;
   ]

@@ -117,6 +117,47 @@ let test_mapped_engine_matches_oracle c structure =
             Alcotest.failf "%s probe %d: instantiation differs" c.Circuit.name k
       done)
 
+(* Every entry of the engine's per-row value tables: from each stored
+   placement's best vector, sweep every designer value of every axis,
+   both bounds included.  The heap engine, the engine mapped through a
+   container round trip and the linear oracle must agree on each.  Each
+   engine query runs on a fresh session, so the hot-box cache never
+   answers in place of the tables. *)
+let test_exhaustive_axis_sweep c structure =
+  let heap = Structure.Engine.create structure in
+  let mapped = (Zcodec.of_string ~circuit:c (Zcodec.to_string structure)).Zcodec.engine in
+  let query engine dims =
+    Structure.Engine.query_id engine (Structure.Engine.new_session ()) dims
+  in
+  let bounds = Circuit.dim_bounds c in
+  let code = function
+    | Structure.Stored_placement i -> i
+    | Structure.Fallback -> -1
+    | Structure.Out_of_domain -> -2
+  in
+  let probes = ref 0 in
+  Array.iter
+    (fun (s : Stored.t) ->
+      for i = 0 to Circuit.n_blocks c - 1 do
+        List.iter
+          (fun (iv, set) ->
+            for v = Interval.lo iv to Interval.hi iv do
+              let dims = set s.Stored.best_dims i v in
+              incr probes;
+              let lin = code (fst (Structure.query_linear structure dims)) in
+              let a_heap = query heap dims and a_map = query mapped dims in
+              if a_heap <> lin || a_map <> lin then
+                Alcotest.failf "%s block %d value %d: linear %d, heap %d, mapped %d"
+                  c.Circuit.name i v lin a_heap a_map
+            done)
+          [
+            (Dimbox.w_interval bounds i, Dims.set_width);
+            (Dimbox.h_interval bounds i, Dims.set_height);
+          ]
+      done)
+    (Structure.placements structure);
+  check_bool (c.Circuit.name ^ ": swept some values") true (!probes > 0)
+
 (* [of_string] must parse the writer's bytes identically to a mapped
    load, and the view must report honest size accounting. *)
 let test_of_string_agrees c structure =
@@ -414,4 +455,6 @@ let suite =
     ("salvage survives engine-section damage", `Quick, test_salvage_survives_engine_damage);
     ("text codec routes MPSZ files", `Quick, test_codec_routes_mpsz);
     ("unknown magic fails with one clean line", `Quick, test_unknown_magic_clean_error);
+    ("all circuits: exhaustive axis sweep, heap = mapped = oracle", `Slow,
+     for_all test_exhaustive_axis_sweep);
   ]
